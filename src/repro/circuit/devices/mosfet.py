@@ -22,18 +22,28 @@ The paper evaluates devices with BSIM3 via a C/C++ MEX bridge; the
 substitution is documented in DESIGN.md -- the integrators only observe
 ``C(x), G(x), f(x)``, and any smooth, stiff, strongly nonlinear MOSFET
 model exercises the same algorithmic paths.
+
+:class:`MOSFETBatch` is the compiled form used inside a circuit: the same
+equations evaluated for every MOSFET of one level at once with numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.circuit.devices.base import NonlinearDevice, NonlinearStamper
+import numpy as np
 
-__all__ = ["MOSFETModel", "MOSFET"]
+from repro.circuit.devices.base import DeviceBatch, NodeIndexer, NonlinearDevice, NonlinearStamper
+from repro.circuit.devices.diode import JunctionCharge
+
+__all__ = ["MOSFETModel", "MOSFET", "MOSFETBatch"]
 
 THERMAL_VOLTAGE = 0.02585
+
+#: floor of the smooth body-effect clamp in the threshold voltage
+_FLOOR = 1e-3
 
 
 def _smooth_max(x: float, floor: float) -> tuple:
@@ -150,7 +160,7 @@ class MOSFET(NonlinearDevice):
         mdl = self.model
         if mdl.gamma == 0.0:
             return mdl.vt0, 0.0
-        s, ds = _smooth_max(mdl.phi - vbs, 1e-3)
+        s, ds = _smooth_max(mdl.phi - vbs, _FLOOR)
         sq = math.sqrt(s)
         vth = mdl.vt0 + mdl.gamma * (sq - math.sqrt(mdl.phi))
         dvth_dvbs = -mdl.gamma * ds / (2.0 * sq)
@@ -306,12 +316,180 @@ class MOSFET(NonlinearDevice):
 
     # -- Newton helpers -----------------------------------------------------------
 
+    #: largest Newton update of the gate and drain voltages (fetlim)
+    GATE_MAX_STEP = 2.0
+    DRAIN_MAX_STEP = 4.0
+
     def limit_voltage(self, name: str, v_new: float, v_old: float) -> float:
         """Limit gate and drain voltage updates (SPICE-style fetlim)."""
         if name not in (self.nodes[0], self.nodes[1]):
             return v_new
         step = v_new - v_old
-        max_step = 2.0 if name == self.nodes[1] else 4.0
+        max_step = self.GATE_MAX_STEP if name == self.nodes[1] else self.DRAIN_MAX_STEP
         if abs(step) > max_step:
             return v_old + math.copysign(max_step, step)
         return v_new
+
+    # -- compiled evaluation --------------------------------------------------------
+
+    def batch_key(self) -> tuple:
+        return (type(self), self.model.level)
+
+    @classmethod
+    def compile_batch(cls, devices, index, sink):
+        return MOSFETBatch(devices, index, sink)
+
+
+class MOSFETBatch(DeviceBatch):
+    """All MOSFETs of one model level evaluated as one numpy kernel.
+
+    Reverse conduction swaps drain and source per instance, but the swap
+    only permutes values among the fixed ``{d, s} x {d, g, s, b}``
+    positions, so the stamp pattern never changes.  Stamps that are
+    identically zero for an instance (the bulk column without body
+    effect, the junctions without ``cj``) are sent to the sink.
+    """
+
+    def __init__(self, devices: Sequence[MOSFET], index: NodeIndexer, sink: int):
+        self.level = devices[0].model.level
+        gate_step, drain_step = type(devices[0]).GATE_MAX_STEP, type(devices[0]).DRAIN_MAX_STEP
+        vt = THERMAL_VOLTAGE
+        # one pass over the devices: terminals, per-instance constants (with
+        # the scalar model's own expressions), junctions and fetlim bounds;
+        # a node limited by several terminals keeps the smallest bound
+        table, junctions, bounds = [], [], {}
+        for dev in devices:
+            mdl, w, l = dev.model, dev.w, dev.l
+            d, g, s, b = (index(node) for node in dev.nodes)
+            for node, step in ((g, gate_step), (d, drain_step)):
+                if node != sink:
+                    bounds[node] = min(step, bounds.get(node, math.inf))
+            beta = mdl.kp * w / l
+            c_ox = mdl.cox * w * l
+            cj0 = mdl.cj * w * l
+            junctions.append((cj0, mdl.pb, mdl.mj, mdl.fc))
+            table.append((
+                d, g, s, b, mdl.polarity, beta, mdl.vt0, mdl.gamma, -mdl.gamma, mdl.phi,
+                math.sqrt(mdl.phi), mdl.lam, mdl.gmin, mdl.nfactor,
+                2.0 * mdl.nfactor * beta * vt * vt, 2.0 * mdl.nfactor * vt, cj0,
+                mdl.cgso * w + 0.4 * c_ox, mdl.cgdo * w + 0.4 * c_ox,
+                mdl.cgbo * l + 0.2 * c_ox))
+        table = np.array(table).T.copy()  # rows contiguous for the kernels
+        self.terminals = table[:4].astype(np.int64)
+        (self.p, self.beta, self.vt0, self.gamma, self.neg_gamma, self.phi, self.sqrt_phi,
+         self.lam, self.gmin, self.n, self.i0, denom, cj0, cgs, cgd, cgb) = table[4:]
+        self.p2 = np.concatenate([self.p, self.p])
+        self.denom = np.concatenate([denom, denom])
+        self.has_junctions = any(junction[0] > 0.0 for junction in junctions)
+        self.junction = JunctionCharge(junctions * 2)  # drain junctions, then source
+        self._limit_nodes = np.array(sorted(bounds), dtype=np.int64)
+        self._limit_steps = np.array([bounds[node] for node in sorted(bounds)])
+
+        # stamp positions as rows of the terminal table (0 = d, 1 = g, 2 = s,
+        # 3 = b); ``body`` drops the bulk column without body effect,
+        # ``junction`` the junction stamps of instances without cj
+        terminals = self.terminals
+        body = terminals.copy()
+        body[3] = np.where(self.gamma != 0.0, terminals[3], sink)
+        junction = np.where(cj0 > 0.0, terminals, sink)
+        self.f_rows = terminals[[0, 2]].ravel()
+        self.g_rows = terminals[[0, 0, 0, 0, 2, 2, 2, 2]].ravel()
+        self.g_cols = body[[1, 0, 3, 2, 1, 0, 3, 2]].ravel()
+        # junctions, drain first: charge p*q on the bulk and -p*q on the
+        # diffusion, capacitance in the 2x2 bulk/diffusion block
+        self.q_rows = junction[[3, 3, 0, 2]].ravel()
+        self.c_rows = junction[[3, 3, 3, 3, 0, 2, 0, 2]].ravel()
+        self.c_cols = terminals[[3, 3, 0, 2, 3, 3, 0, 2]].ravel()
+        self._no_charge = np.zeros(len(self.q_rows))
+        self._no_capacitance = np.zeros(len(self.c_rows))
+
+        # gate capacitances are constant (Meyer-style 40/40/20 partition):
+        # g-s, g-d and g-b, each a symmetric 2x2 block
+        cap = np.concatenate([cgs, cgd, cgb])
+        self.const_c = (terminals[[1, 1, 1, 1, 1, 1, 2, 0, 3, 2, 0, 3]].ravel(),
+                        terminals[[1, 1, 1, 2, 0, 3, 1, 1, 1, 2, 0, 3]].ravel(),
+                        np.concatenate([cap, -cap, -cap, cap]))
+
+    def _threshold(self, vbs):
+        """Vectorized :meth:`MOSFET._threshold`.
+
+        No select is needed for ``gamma == 0``: the expressions then give
+        ``vt0`` and a zero derivative exactly.
+        """
+        x = self.phi - vbs - _FLOOR
+        root = np.sqrt(x * x + 4.0 * _FLOOR * _FLOOR)
+        sq = np.sqrt(_FLOOR + 0.5 * (x + root))
+        vth = self.vt0 + self.gamma * (sq - self.sqrt_phi)
+        dvth = self.neg_gamma * (0.5 * (1.0 + x / root)) / (2.0 * sq)
+        return vth, dvth
+
+    def _ids_level1(self, vgs, vds, vth, dvth):
+        beta, lam = self.beta, self.lam
+        vgst = vgs - vth
+        clm = 1.0 + lam * vds
+        on = vgst > 0.0
+        triode = on & (vds < vgst)
+        square = vgst * vds - 0.5 * vds * vds
+        ids = np.where(triode, beta * square * clm, 0.5 * beta * vgst * vgst * clm)
+        gm = np.where(triode, beta * vds * clm, beta * vgst * clm)
+        gds = np.where(triode, beta * (vgst - vds) * clm + beta * square * lam,
+                       0.5 * beta * vgst * vgst * lam)
+        ids, gm, gds = (np.where(on, v, 0.0) for v in (ids, gm, gds))
+        return ids + self.gmin * vds, gm, gds + self.gmin, -gm * dvth
+
+    def _ids_level2(self, vgs, vds, vth, dvth):
+        m = len(vgs)
+        over = vgs - vth
+        # softplus^2 interpolation of the forward and reverse halves at once;
+        # below a = -40, log1p(exp(a)) is exp(a) exactly, and above a = 40
+        # the logistic rounds to 1.0, as in the scalar model's branches
+        a = np.concatenate([over, over - self.n * vds]) / self.denom
+        e = np.exp(np.minimum(a, 40.0))
+        sp = np.where(a > 40.0, a, np.log1p(e))
+        sig = np.where(a < -40.0, e, 1.0 / (1.0 + np.exp(-np.maximum(a, -40.0))))
+        val = sp * sp
+        dval = 2.0 * sp * sig / self.denom
+        i_f, i_r, di_f, di_r = val[:m], val[m:], dval[:m], dval[m:]
+
+        i0, clm = self.i0, 1.0 + self.lam * vds
+        core = i0 * (i_f - i_r)
+        gm = i0 * (di_f - di_r) * clm
+        gds = i0 * (self.n * di_r) * clm + core * self.lam
+        return core * clm + self.gmin * vds, gm, gds + self.gmin, gm * -dvth
+
+    def evaluate(self, xe):
+        vd, vg, vs, vb = xe[self.terminals]
+        p = self.p
+        dvs = vd - vs
+        forward = p * dvs >= 0.0
+        vns = np.where(forward, vs, vd)
+        vgs = p * (vg - vns)
+        vds = np.abs(dvs)  # p * (v_nd - v_ns), exactly
+        vbs = p * (vb - vns)
+        vth, dvth = self._threshold(vbs)
+        kernel = self._ids_level1 if self.level == 1 else self._ids_level2
+        ids, gm, gds, gmb = kernel(vgs, vds, vth, dvth)
+
+        # the source row of every stamp is the negated drain row
+        sign = forward * 2.0 - 1.0
+        i_d = sign * (p * ids)
+        gss = gm + gds + gmb
+        drain = np.concatenate([sign * gm, np.where(forward, gds, gss), sign * gmb,
+                                -np.where(forward, gss, gds)])
+        f = np.concatenate([i_d, -i_d])
+        g = np.concatenate([drain, -drain])
+
+        if not self.has_junctions:
+            return f, self._no_charge, g, self._no_capacitance
+        qj, cj = self.junction.charge_and_capacitance(
+            np.concatenate([p * (vb - vd), p * (vb - vs)]))
+        pq = self.p2 * qj
+        bulk = np.concatenate([cj, -cj])
+        return f, np.concatenate([pq, -pq]), g, np.concatenate([bulk, -bulk])
+
+    def limit(self, x_new, x_old):
+        nodes, bound = self._limit_nodes, self._limit_steps
+        v_new = x_new[nodes]
+        v_old = x_old[nodes]
+        step = v_new - v_old
+        x_new[nodes] = np.where(np.abs(step) > bound, v_old + np.copysign(bound, step), v_new)

@@ -66,7 +66,7 @@ class BackwardEulerNR(Integrator):
             residual = (ev.q - q_k) / h + ev.f - bu
             # linear circuits: the C/h + G combination is a constant of h,
             # assembled (and factorized) once per distinct step size
-            jacobian = self.cache.matrix(jac_key, lambda: (ev.C / h + ev.G).tocsc())
+            jacobian = self.cache.matrix(jac_key, lambda: self.mna.newton_jacobian(ev, h))
             return residual, jacobian
 
         solver = NewtonSolver(

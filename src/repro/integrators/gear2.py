@@ -67,7 +67,8 @@ class Gear2NR(Integrator):
             ev = self.evaluate(y)
             self.stats.device_evaluations += 1
             residual = a0 * ev.q / h + history + ev.f - bu_new
-            jacobian = self.cache.matrix(jac_key, lambda: (a0 * ev.C / h + ev.G).tocsc())
+            jacobian = self.cache.matrix(
+                jac_key, lambda: self.mna.newton_jacobian(ev, h, c_scale=a0))
             return residual, jacobian
 
         solver = NewtonSolver(

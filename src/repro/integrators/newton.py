@@ -66,17 +66,10 @@ class NewtonSolver:
     # -- device limiting ----------------------------------------------------------------
 
     def _apply_limiting(self, x_new: np.ndarray, x_old: np.ndarray) -> np.ndarray:
-        """Apply per-device junction/FET limiting to the proposed update."""
-        if not self.options.apply_limiting or not self.mna.circuit.devices:
+        """Apply the compiled junction/FET limiting to the proposed update."""
+        if not self.options.apply_limiting or not self.mna.has_nonlinear:
             return x_new
-        limited = np.array(x_new, copy=True)
-        for device in self.mna.circuit.devices:
-            for node in device.nodes:
-                idx = self.mna.node_index(node)
-                if idx < 0:
-                    continue
-                limited[idx] = device.limit_voltage(node, limited[idx], float(x_old[idx]))
-        return limited
+        return self.mna.limit_step(x_new, x_old)
 
     # -- the iteration -------------------------------------------------------------------
 

@@ -53,7 +53,8 @@ class TrapezoidalNR(Integrator):
             ev = self.evaluate(y)
             self.stats.device_evaluations += 1
             residual = (ev.q - q_k) / h + 0.5 * ev.f - rhs_const
-            jacobian = self.cache.matrix(jac_key, lambda: (ev.C / h + 0.5 * ev.G).tocsc())
+            jacobian = self.cache.matrix(
+                jac_key, lambda: self.mna.newton_jacobian(ev, h, g_scale=0.5))
             return residual, jacobian
 
         solver = NewtonSolver(

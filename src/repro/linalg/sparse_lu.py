@@ -167,6 +167,8 @@ class SymbolicCache:
         self.max_entries = int(max_entries)
         #: pattern key -> inverse column permutation (``inv[perm_c] = 0..n-1``)
         self._orderings: "OrderedDict[PatternKey, np.ndarray]" = OrderedDict()
+        #: ``(indptr, indices, key)`` of the last keyed read-only pattern
+        self._last: Optional[Tuple[np.ndarray, np.ndarray, PatternKey]] = None
 
     @staticmethod
     def pattern_key(matrix: sp.csc_matrix) -> PatternKey:
@@ -175,6 +177,23 @@ class SymbolicCache:
         digest.update(matrix.indptr.tobytes())
         digest.update(matrix.indices.tobytes())
         return (matrix.shape, int(matrix.nnz), digest.hexdigest())
+
+    def key(self, matrix: sp.csc_matrix) -> PatternKey:
+        """:meth:`pattern_key`, skipping the hash for the last pattern seen.
+
+        Matrices on one fixed pattern (``MNASystem`` evaluations and
+        Newton Jacobians) share read-only ``indptr``/``indices`` arrays.
+        Arrays flagged read-only are taken not to change, so their identity
+        alone identifies the pattern; writeable ones are always hashed.
+        """
+        indptr, indices = matrix.indptr, matrix.indices
+        last = self._last
+        if last is not None and indptr is last[0] and indices is last[1]:
+            return last[2]
+        key = self.pattern_key(matrix)
+        if not (indptr.flags.writeable or indices.flags.writeable):
+            self._last = (indptr, indices, key)
+        return key
 
     def lookup(self, key: PatternKey) -> Optional[np.ndarray]:
         """Return the stored inverse column order for ``key``, if any."""
@@ -468,7 +487,7 @@ def factorize(
     column_order = None
     pattern = None
     if symbolic is not None:
-        pattern = SymbolicCache.pattern_key(matrix)
+        pattern = symbolic.key(matrix)
         column_order = symbolic.lookup(pattern)
     try:
         if column_order is not None:
