@@ -1,24 +1,18 @@
 #!/usr/bin/env python
-"""Cache-aware adaptive stepping benchmark: h-ladder + stale-LU reuse.
+"""Cache-aware adaptive stepping benchmark: the geometric h-ladder.
 
 The implicit methods (BENR / TR / Gear2) bake the step size into their
 factored Jacobian ``a C/h + b G``, so a continuous step controller --
 which invents a fresh ``h`` on almost every accepted step -- pays close
 to one LU factorization per step even on linear circuits.  This bench
-counts what the two cache-aware mechanisms of ``SimOptions`` recover:
+counts what ``step_ladder="geometric"`` recovers: it quantizes proposals
+onto the grid ``h_ref * 2**k`` so consecutive steps share one cached LU.
 
-* ``step_ladder="geometric"`` quantizes proposals onto the geometric
-  grid ``h_ref * ratio**k`` so consecutive steps share one cached LU;
-* ``h_bypass_tol`` serves near-miss step sizes from a *stale* cached
-  factorization plus iterative refinement (counted, with counted
-  fallbacks), absorbing the off-grid steps that source breakpoints and
-  LTE drift force on the controller.
-
-Every case runs four configurations per method -- ``fixed`` (constant
-step), ``adaptive`` (the default continuous controller), ``ladder`` and
-``ladder_stale`` -- and reports accepted steps, LU factorizations and
-the counted reuse split.  Trajectory deviation is measured against the
-``adaptive`` baseline of the same method.
+Every case runs three configurations per method -- ``fixed`` (constant
+step), ``adaptive`` (the default continuous controller) and ``ladder``
+-- and reports accepted steps, LU factorizations and cache reuses.
+Trajectory deviation is measured against the ``adaptive`` baseline of
+the same method.
 
 Results land in ``benchmarks/output/BENCH_adaptive_stepping.json``.
 
@@ -30,7 +24,7 @@ Usage::
 
 ``--check`` enforces the acceptance targets on the gated cases (the
 staircase-driven RC mesh and the switching PDN, BENR and TR):
-``ladder_stale`` spends at most 1.5x the *fixed-step* LU count while
+``ladder`` spends at most 1.5x the *fixed-step* LU count while
 staying inside twice the method's verification band of the adaptive
 baseline, the solve-accounting identity holds on every run, and the
 default-knob adaptive run is bit-for-bit reproducible.
@@ -61,16 +55,14 @@ METHODS = ["benr", "trap", "gear2"]
 GATED_CASES = ("rc_mesh_staircase", "pdn_switching")
 GATED_METHODS = ("benr", "trap")
 
-#: the ladder_stale LU budget relative to the fixed-step run
+#: the ladder LU budget relative to the fixed-step run
 LU_RATIO_TARGET = 1.5
 
-#: the four step-control configurations, as SimOptions override dicts
+#: the three step-control configurations, as SimOptions override dicts
 CONFIGS = (
     ("fixed", {}),
     ("adaptive", {}),
     ("ladder", {"step_ladder": "geometric"}),
-    ("stale", {"h_bypass_tol": 0.05}),
-    ("ladder_stale", {"step_ladder": "geometric", "h_bypass_tol": 0.05}),
 )
 
 
@@ -96,7 +88,7 @@ def suite(smoke: bool):
     ``h_fix`` is the constant step of the ``fixed`` configuration; the
     adaptive configurations share the ``h_init``/``h_max`` window of the
     base kwargs.  The sine case has no breakpoints at all: its LU cost
-    is pure LTE-driven step drift, which the stale bypass absorbs.
+    is pure LTE-driven step drift (report-only, not gated).
     """
     if smoke:
         return [
@@ -158,9 +150,6 @@ def mode_record(result) -> dict:
         "runtime_seconds": stats.runtime_seconds,
         "lu_factorizations": lu.num_factorizations,
         "lu_reused": lu.num_reused,
-        "lu_bypassed": lu.num_bypassed,
-        "lu_stale_reuses": lu.num_stale_reuses,
-        "lu_refinement_fallbacks": lu.num_refinement_fallbacks,
         "ladder_steps": stats.num_ladder_steps,
         "ladder_holds": stats.num_ladder_holds,
     }
@@ -199,11 +188,9 @@ def bench_case(name, factory, params, sim_kwargs, h_fix):
                 runs["adaptive"].state_array - rerun.state_array)))
         else:
             rerun_diff = float("inf")
-        accounting = []
-        for config in ("ladder", "stale", "ladder_stale"):
-            accounting.extend(
-                str(v) for v in check_adaptive_reuse_accounting(
-                    runs[config], subject=f"{name}/{method}/{config}"))
+        accounting = [
+            str(v) for v in check_adaptive_reuse_accounting(
+                runs["ladder"], subject=f"{name}/{method}/ladder")]
         row = {
             "case": name,
             "method": method,
@@ -225,11 +212,8 @@ def bench_case(name, factory, params, sim_kwargs, h_fix):
         rows.append(row)
         print(f"  {name:18s} {row['method_name']:6s} n={mna.n:5d} "
               f"#LU fixed={fixed_lu:4d} adaptive={row['adaptive']['lu_factorizations']:4d} "
-              f"ladder={row['ladder']['lu_factorizations']:3d} "
-              f"ladder+stale={row['ladder_stale']['lu_factorizations']:3d} "
-              f"(stale={row['ladder_stale']['lu_stale_reuses']}, "
-              f"fallback={row['ladder_stale']['lu_refinement_fallbacks']})  "
-              f"dev {row['ladder_stale']['max_deviation']:.1e}")
+              f"ladder={row['ladder']['lu_factorizations']:3d}  "
+              f"dev {row['ladder']['max_deviation']:.1e}")
     return rows
 
 
@@ -248,31 +232,19 @@ def check_acceptance(rows, smoke: bool) -> list:
                 f"{row['rerun_max_diff']:.3e} (expected bit-identical)")
         method = row["method"]
         band = 2.0 * DEFAULT_METHOD_BANDS.get(method, 1e-2)
-        for config in ("ladder", "stale", "ladder_stale"):
-            deviation = row[config]["max_deviation"]
-            if not deviation <= band:
-                failures.append(
-                    f"{key}/{config}: deviation {deviation:.3e} vs the "
-                    f"adaptive baseline exceeds the {band:.1e} band")
+        deviation = row["ladder"]["max_deviation"]
+        if not deviation <= band:
+            failures.append(
+                f"{key}/ladder: deviation {deviation:.3e} vs the "
+                f"adaptive baseline exceeds the {band:.1e} band")
         if row["case"] in GATED_CASES and method in GATED_METHODS:
-            ratio = row["ladder_stale"]["lu_vs_fixed"]
+            ratio = row["ladder"]["lu_vs_fixed"]
             if ratio is None or ratio > LU_RATIO_TARGET:
                 failures.append(
-                    f"{key}: ladder+stale paid "
-                    f"{row['ladder_stale']['lu_factorizations']} LUs vs "
+                    f"{key}: ladder paid "
+                    f"{row['ladder']['lu_factorizations']} LUs vs "
                     f"{row['fixed']['lu_factorizations']} fixed-step "
                     f"(ratio {ratio}, target <= {LU_RATIO_TARGET})")
-        if row["case"] == "rc_mesh_sine" and method in GATED_METHODS:
-            # no breakpoints, no ladder: the stale-only config's savings
-            # are pure cross-h reuse against the controller's LTE drift
-            if row["stale"]["lu_stale_reuses"] <= 0:
-                failures.append(
-                    f"{key}: sine case recorded no stale cross-h reuses")
-            if not (row["stale"]["lu_factorizations"]
-                    < row["adaptive"]["lu_factorizations"]):
-                failures.append(
-                    f"{key}: stale-only reuse did not beat the adaptive "
-                    f"baseline's LU count on the sine case")
     gated = {(r["case"], r["method"]) for r in rows}
     for case in GATED_CASES:
         for method in GATED_METHODS:
@@ -282,13 +254,16 @@ def check_acceptance(rows, smoke: bool) -> list:
 
 
 def history_series(rows) -> dict:
-    """Per (case, method): fixed-step LUs per ladder+stale LU (higher is
-    better), the savings series the JSONL history tracks across runs."""
+    """Per (case, method): fixed-step LUs per ladder LU (higher is
+    better), the savings series the JSONL history tracks across runs.
+
+    Keys end in ``/ladder`` so the history never compares these ratios
+    with medians recorded under another configuration's key."""
     series = {}
     for row in rows:
         fixed_lu = row["fixed"]["lu_factorizations"]
-        reuse_lu = max(row["ladder_stale"]["lu_factorizations"], 1)
-        series[f"{row['case']}/{row['method']}"] = fixed_lu / reuse_lu
+        ladder_lu = max(row["ladder"]["lu_factorizations"], 1)
+        series[f"{row['case']}/{row['method']}/ladder"] = fixed_lu / ladder_lu
     return series
 
 
@@ -374,7 +349,7 @@ def main(argv=None) -> int:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}", file=sys.stderr)
             return 1
-        print(f"acceptance checks passed (ladder+stale <= {LU_RATIO_TARGET}x "
+        print(f"acceptance checks passed (ladder <= {LU_RATIO_TARGET}x "
               "fixed-step LUs, in-band trajectories, counted accounting, "
               "bit-identical default knobs)")
 

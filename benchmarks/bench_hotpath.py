@@ -130,7 +130,6 @@ def mode_record(result) -> dict:
         "steps_per_second": stats.num_steps / runtime if runtime > 0 else None,
         "lu_factorizations": stats.lu.num_factorizations,
         "lu_reused": stats.lu.num_reused,
-        "lu_bypassed": stats.lu.num_bypassed,
         "mevp_basis_reuses": stats.mevp.num_basis_reuses,
         "avg_krylov_dim": round(stats.average_krylov_dimension, 2),
     }

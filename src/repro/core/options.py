@@ -172,11 +172,6 @@ class SimOptions:
     #: produces bit-identical trajectories (False restores the per-step
     #: re-assembly/re-factorization behaviour)
     cache_linearization: bool = True
-    #: SPICE-style bypass threshold for nonlinear circuits: reuse the
-    #: previous factorization while ``max|dA| / max|A|`` of the linearized
-    #: matrix stays below this value (0 disables; >0 trades exactness of
-    #: the Jacobian for skipped factorizations)
-    bypass_tol: float = 0.0
     #: ER only: reuse the slope (phi_2) Krylov basis across steps inside
     #: one PWL source segment -- the slope vector is constant there (the
     #: Eq. 14 remark); requires the linearization cache on a linear circuit
@@ -187,33 +182,13 @@ class SimOptions:
     #: factorizations); independent of ``cache_linearization``
     reuse_symbolic: bool = True
 
-    # -- cache-aware adaptive stepping (all default-off; trajectories are
-    # -- bit-identical to the plain controller when every knob is at its default)
+    # -- cache-aware adaptive stepping (default off; trajectories are
+    # -- bit-identical to the plain controller when it is off)
     #: step-controller quantization mode: ``"off"`` keeps the continuous
-    #: controller; ``"geometric"`` rounds every proposed step down onto a
-    #: geometric grid ``h_ref * ratio**k`` anchored at the resolved initial
-    #: step, so consecutive steps share one cached ``LU(C/h + G)``
+    #: controller; ``"geometric"`` rounds every proposed step down onto the
+    #: grid ``h_ref * 2**k`` anchored at the resolved initial step, so
+    #: consecutive steps share one cached ``LU(C/h + G)``
     step_ladder: str = "off"
-    #: ratio between adjacent ladder rungs (> 1); 2.0 matches the classic
-    #: halve/double controller so quantization costs at most one halving
-    step_ladder_ratio: float = 2.0
-    #: cross-``h`` stale-factorization reuse: when a linear-circuit Jacobian
-    #: is requested at ``h_new`` and a factorization cached at ``h_cached``
-    #: satisfies ``|h_new - h_cached| / h_cached <= h_bypass_tol``, solve
-    #: with the stale LU plus iterative refinement against the exact
-    #: ``C/h_new + G`` operator instead of refactorizing (0 disables)
-    h_bypass_tol: float = 0.0
-    #: relative residual target of the iterative refinement used by stale
-    #: cross-``h`` solves
-    h_bypass_refine_tol: float = 1e-10
-    #: refinement iteration cap; if the residual is still above tolerance a
-    #: fresh factorization is taken (counted in
-    #: ``LUStats.num_refinement_fallbacks``)
-    h_bypass_max_refinements: int = 8
-    #: LRU capacity of the per-``h`` factorization memo in
-    #: :class:`repro.core.workspace.LinearizationCache` -- large enough that
-    #: an oscillating controller (h up, reject, h down) rehits every rung
-    lu_cache_entries: int = 8
 
     # -- output ------------------------------------------------------------------------------
     #: store the full state trajectory (False keeps only observed nodes)
@@ -242,20 +217,8 @@ class SimOptions:
             raise ValueError("beta must be at least 1")
         if self.krylov_max_dim < 2:
             raise ValueError("krylov_max_dim must be at least 2")
-        if self.bypass_tol < 0.0:
-            raise ValueError("bypass_tol must be non-negative")
         if self.step_ladder not in ("off", "geometric"):
             raise ValueError("step_ladder must be 'off' or 'geometric'")
-        if self.step_ladder_ratio <= 1.0:
-            raise ValueError("step_ladder_ratio must be greater than 1")
-        if not (0.0 <= self.h_bypass_tol < 1.0):
-            raise ValueError("h_bypass_tol must lie in [0, 1)")
-        if self.h_bypass_refine_tol <= 0.0:
-            raise ValueError("h_bypass_refine_tol must be positive")
-        if self.h_bypass_max_refinements < 1:
-            raise ValueError("h_bypass_max_refinements must be at least 1")
-        if self.lu_cache_entries < 1:
-            raise ValueError("lu_cache_entries must be at least 1")
         self.newton.validate()
 
     @property

@@ -88,7 +88,7 @@ class RunStatistics:
 
     @property
     def num_lu_cache_hits(self) -> int:
-        """Factorizations avoided by the linearization cache (exact + bypass)."""
+        """Factorizations avoided by the linearization cache."""
         return self.lu.num_cache_hits
 
     @property
@@ -100,16 +100,6 @@ class RunStatistics:
     def num_symbolic_reuses(self) -> int:
         """Numeric refactorizations served by a pattern-matched ordering."""
         return self.lu.num_symbolic_reuses
-
-    @property
-    def num_stale_reuses(self) -> int:
-        """Requests served by a stale cross-``h`` factorization + refinement."""
-        return self.lu.num_stale_reuses
-
-    @property
-    def num_refinement_fallbacks(self) -> int:
-        """Stale cross-``h`` solves that fell back to a fresh factorization."""
-        return self.lu.num_refinement_fallbacks
 
     @property
     def peak_factor_nnz(self) -> int:
@@ -126,8 +116,6 @@ class RunStatistics:
             "#LU": self.num_lu_factorizations,
             "#LUhit": self.num_lu_cache_hits,
             "#LUsym": self.num_symbolic_reuses,
-            "#LUstale": self.num_stale_reuses,
-            "#LUfallback": self.num_refinement_fallbacks,
             "#ladder": self.num_ladder_steps,
             "#ladderhold": self.num_ladder_holds,
             "RT(s)": self.runtime_seconds,

@@ -5,38 +5,27 @@ interconnect) are *linear* circuits: ``C``, ``G`` and therefore ``LU(G)``
 (and, for the implicit baselines, ``LU(C/h + G)`` at a fixed ``h``) are
 constant for the whole transient.  The integrators nevertheless used to
 re-assemble and re-factorize on every step, which buried the method
-comparison under redundant work.  :class:`LinearizationCache` removes it:
+comparison under redundant work.  :class:`LinearizationCache` removes it
+with a *linear fast path*: when ``mna.has_nonlinear`` is False the cache
+hands out the assembled matrices (with the optional ``gshunt`` applied
+exactly once) and reuses one :class:`~repro.linalg.sparse_lu.SparseLU`
+per matrix key across all steps.  Shifted systems such as ``C/h + G`` are
+keyed by their scalar coefficients, so a factorization is reused until
+the step size actually changes.  Results are bit-identical to the
+uncached path: the cached objects carry exactly the floats the per-step
+assembly would have produced.
 
-* **Linear fast path** -- when ``mna.has_nonlinear`` is False the cache
-  hands out the assembled matrices (with the optional ``gshunt`` applied
-  exactly once) and reuses one :class:`~repro.linalg.sparse_lu.SparseLU`
-  per matrix key across all steps.  Shifted systems such as ``C/h + G``
-  are keyed by their scalar coefficients, so a factorization is reused
-  until the step size actually changes.  Results are bit-identical to the
-  uncached path: the cached objects carry exactly the floats the per-step
-  assembly would have produced.
-* **SPICE-style bypass** -- for nonlinear circuits an optional threshold
-  (``SimOptions.bypass_tol``) allows the previous factorization to be
-  reused while the linearization change stays small, mirroring the device
-  bypass of production SPICE engines.  Bypass perturbs the iteration (it
-  is an inexact-Newton / frozen-Jacobian strategy), so it is off by
-  default and every reuse is counted separately from real factorizations.
-* **Cross-``h`` stale reuse** -- the same idea one level up, applied to
-  *step-size* drift on the linear fast path (``SimOptions.h_bypass_tol``):
-  a request for ``LU(C/h_new + G)`` that only just misses a cached
-  ``LU(C/h_cached + G)`` is served by the stale factors plus iterative
-  refinement against the exact operator
-  (:class:`~repro.linalg.sparse_lu.RefinedLU`), so adaptive controllers
-  stop paying a fresh factorization for every small ``h`` adjustment.
-  Unlike bypass this never perturbs the solution beyond the refinement
-  tolerance, and stalled refinements fall back to (counted) real
-  factorizations.
-
-Honest accounting is part of the contract: reuses land in
-``LUStats.num_reused`` / ``num_bypassed`` while ``num_factorizations``
-keeps counting only real numerical work, so the Table-I ``#LU`` column is
-unchanged in meaning and the cache's effect is visible in the statistics
-rather than hidden by them.
+There is exactly one reuse rule: a factorization is reused when, on a
+linear circuit, the matrix requested under a key is unchanged (the same
+object or bit-identical values).  Every other request -- any nonlinear
+circuit, any new key, any changed matrix -- is a real factorization.  A
+step-size change therefore costs one LU for the implicit methods; keeping
+the controller on a few step sizes (``SimOptions.step_ladder``) is how
+adaptive runs rehit the per-key LRU instead.  Reuses land in
+``LUStats.num_reused`` while ``num_factorizations`` keeps counting only
+real numerical work, so the Table-I ``#LU`` column is unchanged in
+meaning and the cache's effect is visible in the statistics rather than
+hidden by them.
 
 Below the value-keyed LU cache sits a *pattern*-keyed
 :class:`~repro.linalg.sparse_lu.SymbolicCache`
@@ -58,13 +47,7 @@ import scipy.sparse as sp
 
 from repro.circuit.mna import EvalResult, MNASystem
 from repro.core.options import SimOptions
-from repro.linalg.sparse_lu import (
-    LUStats,
-    RefinedLU,
-    SparseLU,
-    SymbolicCache,
-    factorize,
-)
+from repro.linalg.sparse_lu import LUStats, SparseLU, SymbolicCache, factorize
 
 __all__ = ["LinearizationCache"]
 
@@ -87,37 +70,19 @@ def _same_values(a: sp.spmatrix, b: sp.spmatrix) -> bool:
     )
 
 
-def _relative_change(new: sp.spmatrix, old: sp.spmatrix) -> float:
-    """``max|new - old| / max|old|`` -- the bypass drift measure."""
-    if new.shape != old.shape:
-        return np.inf
-    diff = abs(new - old)
-    drift = float(diff.data.max()) if diff.nnz else 0.0
-    scale = float(abs(old).data.max()) if old.nnz else 0.0
-    if scale == 0.0:
-        return 0.0 if drift == 0.0 else np.inf
-    return drift / scale
-
-
 class LinearizationCache:
     """Per-integrator cache of linearizations and LU factorizations."""
 
-    #: default cap on distinct cached (matrix, LU) entries; adaptive
-    #: step-size controllers cycle through a handful of ``h`` values at a
-    #: time (per-cache override: ``SimOptions.lu_cache_entries``)
+    #: cap on distinct cached (matrix, LU) entries; adaptive step-size
+    #: controllers cycle through a handful of ``h`` values at a time, and
+    #: eight keeps every rung an oscillating controller revisits
     MAX_ENTRIES = 8
 
     def __init__(self, mna: MNASystem, options: Optional[SimOptions] = None):
         self.mna = mna
         options = options if options is not None else SimOptions()
         self.enabled = bool(options.cache_linearization)
-        self.bypass_tol = float(options.bypass_tol)
         self.gshunt = float(options.gshunt)
-        self.max_entries = int(options.lu_cache_entries)
-        #: cross-``h`` stale-reuse threshold; 0 keeps the exact-key policy
-        self.h_bypass_tol = float(options.h_bypass_tol)
-        self.h_bypass_refine_tol = float(options.h_bypass_refine_tol)
-        self.h_bypass_max_refinements = int(options.h_bypass_max_refinements)
         #: pattern-keyed symbolic-factorization reuse; orthogonal to the
         #: value-keyed LU cache above it (a fresh factorization with a
         #: reused ordering is still a real, counted factorization)
@@ -135,10 +100,6 @@ class LinearizationCache:
         """Linear circuit with the cache enabled: matrices are run constants."""
         return self.enabled and not self.mna.has_nonlinear
 
-    @property
-    def _stores_entries(self) -> bool:
-        return self.reuse_exact or (self.enabled and self.bypass_tol > 0.0)
-
     def invalidate(self) -> None:
         """Drop every cached matrix, factorization and symbolic ordering."""
         self._shunted_G = None
@@ -151,7 +112,7 @@ class LinearizationCache:
         """Insert as most-recent and evict least-recent past the capacity."""
         store[key] = value
         store.move_to_end(key)
-        while len(store) > self.max_entries:
+        while len(store) > self.MAX_ENTRIES:
             store.popitem(last=False)
 
     # -- linearization ------------------------------------------------------------------
@@ -222,125 +183,26 @@ class LinearizationCache:
     ) -> SparseLU:
         """Return an LU of ``matrix``, reusing the cached factors when valid.
 
-        Reuse policy, in order:
-
-        1. exact -- the matrix under ``key`` is unchanged (object identity
-           or bit-identical values); counted in ``stats.num_reused``;
-        2. bypass -- nonlinear circuits with ``bypass_tol > 0`` reuse the
-           stale factors while the relative linearization drift stays
-           under the threshold; counted in ``stats.num_bypassed``;
-        3. stale cross-``h`` -- linear circuits with ``h_bypass_tol > 0``:
-           when no exact entry exists but a cached key differs only in its
-           float components (the step size) by at most ``h_bypass_tol``
-           relative, the closest such factorization is handed out wrapped
-           in a :class:`~repro.linalg.sparse_lu.RefinedLU` that solves the
-           *exact* requested operator by iterative refinement; counted in
-           ``stats.num_stale_reuses`` (with failed refinements falling back
-           to a real factorization, counted in
-           ``stats.num_refinement_fallbacks``);
-        4. otherwise a real factorization is performed (and cached when a
-           future reuse is possible at all).
+        On the linear fast path, the factorization stored under ``key`` is
+        reused when ``matrix`` is unchanged (object identity or
+        bit-identical values); the reuse is counted in
+        ``stats.num_reused``.  Every other request is a real factorization,
+        cached for later reuse on the linear fast path only.
         """
-        if not self.enabled:
-            return factorize(matrix, stats=stats,
-                             max_factor_nnz=max_factor_nnz, label=label,
-                             symbolic=self.symbolic)
-
-        entry = self._lus.get(key)
-        if entry is not None:
-            stored, lu = entry
-            if self.reuse_exact and (stored is matrix or _same_values(matrix, stored)):
-                self._lus.move_to_end(key)
-                lu.rebind_stats(stats)
-                if stats is not None:
-                    stats.num_reused += 1
-                return lu
-            if not self.reuse_exact and self.bypass_tol > 0.0:
+        if self.reuse_exact:
+            entry = self._lus.get(key)
+            if entry is not None:
+                stored, lu = entry
                 if _same_values(matrix, stored):
                     self._lus.move_to_end(key)
                     lu.rebind_stats(stats)
                     if stats is not None:
                         stats.num_reused += 1
                     return lu
-                if _relative_change(matrix, stored) <= self.bypass_tol:
-                    self._lus.move_to_end(key)
-                    lu.rebind_stats(stats)
-                    if stats is not None:
-                        stats.num_bypassed += 1
-                    return lu
-
-        if entry is None and self.reuse_exact and self.h_bypass_tol > 0.0:
-            stale = self._stale_candidate(key)
-            if stale is not None:
-                stale_key, stale_lu = stale
-                self._lus.move_to_end(stale_key)
-                if stats is not None:
-                    stats.num_stale_reuses += 1
-
-                def fallback() -> SparseLU:
-                    fresh = factorize(matrix, stats=stats,
-                                      max_factor_nnz=max_factor_nnz,
-                                      label=label, symbolic=self.symbolic)
-                    self._put(self._lus, key, (matrix, fresh))
-                    return fresh
-
-                return RefinedLU(
-                    stale_lu,
-                    matrix,
-                    stats,
-                    rtol=self.h_bypass_refine_tol,
-                    max_refinements=self.h_bypass_max_refinements,
-                    fallback=fallback,
-                    label=label or stale_lu.label,
-                )
 
         lu = factorize(matrix, stats=stats,
                        max_factor_nnz=max_factor_nnz, label=label,
                        symbolic=self.symbolic)
-        if self._stores_entries:
+        if self.reuse_exact:
             self._put(self._lus, key, (matrix, lu))
         return lu
-
-    # -- stale cross-h candidates -----------------------------------------------------------
-
-    def _stale_candidate(
-        self, key: CacheKey
-    ) -> Optional[Tuple[CacheKey, SparseLU]]:
-        """Find the cached factorization closest to ``key`` within tolerance.
-
-        Two keys are comparable when they have the same arity and agree on
-        every non-float component (the method tag); each float component
-        (the step size, Gear's ``a0``) must stay within ``h_bypass_tol``
-        relative to the cached value.  Among comparable entries the one
-        with the smallest drift wins -- refinement converges at a rate set
-        by the drift, so closer is strictly cheaper.
-        """
-        best: Optional[Tuple[CacheKey, SparseLU]] = None
-        best_drift = np.inf
-        for cached_key, (_, cached_lu) in self._lus.items():
-            if not isinstance(cached_lu, SparseLU):
-                continue
-            drift = self._key_drift(key, cached_key)
-            if drift is not None and drift < best_drift:
-                best = (cached_key, cached_lu)
-                best_drift = drift
-        return best
-
-    def _key_drift(self, new_key: CacheKey, old_key: CacheKey) -> Optional[float]:
-        """Relative float-component distance between keys, or None if apart."""
-        if len(new_key) != len(old_key):
-            return None
-        drift = 0.0
-        for new_part, old_part in zip(new_key, old_key):
-            if isinstance(new_part, float) and isinstance(old_part, float):
-                if new_part == old_part:
-                    continue
-                if old_part == 0.0:
-                    return None
-                part = abs(new_part - old_part) / abs(old_part)
-                if not part <= self.h_bypass_tol:
-                    return None
-                drift = max(drift, part)
-            elif new_part != old_part:
-                return None
-        return drift

@@ -23,7 +23,7 @@ from repro.circuit.mna import EvalResult, MNASystem
 from repro.core.options import SimOptions
 from repro.core.results import RunStatistics, SimulationResult, StepRecord
 from repro.core.workspace import LinearizationCache
-from repro.integrators.ladder import GeometricLadder
+from repro.integrators.ladder import LADDER_RATIO, GeometricLadder
 from repro.linalg.sparse_lu import FactorizationBudgetExceeded
 from repro.telemetry import metrics as telemetry
 
@@ -37,53 +37,46 @@ _TM_RUNS = telemetry.counter(
     "repro_integrator_runs_total",
     "Transient runs finished, by method and completion.",
     ("method", "completed"))
-_TM_STEPS = telemetry.counter(
-    "repro_integrator_steps_total",
-    "Accepted time steps, by method.", ("method",))
-_TM_REJECTIONS = telemetry.counter(
-    "repro_integrator_rejections_total",
-    "Rejected step attempts, by method.", ("method",))
-_TM_NEWTON = telemetry.counter(
-    "repro_integrator_newton_iterations_total",
-    "Newton iterations across all steps, by method.", ("method",))
-_TM_LU = telemetry.counter(
-    "repro_integrator_lu_factorizations_total",
-    "Real LU factorizations performed (the Table-I #LU work).", ("method",))
-_TM_LU_REUSED = telemetry.counter(
-    "repro_integrator_lu_reused_total",
-    "Exact cross-step LU reuses served by the linearization cache.",
-    ("method",))
-_TM_LU_BYPASSED = telemetry.counter(
-    "repro_integrator_lu_bypassed_total",
-    "SPICE-style bypass reuses of a slightly stale factorization.",
-    ("method",))
-_TM_LU_ORDERINGS = telemetry.counter(
-    "repro_integrator_lu_orderings_total",
-    "Factorizations that computed a fresh fill-reducing ordering.",
-    ("method",))
-_TM_LU_SYMBOLIC = telemetry.counter(
-    "repro_integrator_lu_symbolic_reuses_total",
-    "Numeric refactorizations that reused a pattern-matched ordering.",
-    ("method",))
-_TM_BASIS_REUSES = telemetry.counter(
-    "repro_integrator_basis_reuses_total",
-    "Krylov MEVP evaluations served from a reused segment-slope basis.",
-    ("method",))
-_TM_LU_STALE = telemetry.counter(
-    "repro_integrator_lu_stale_reuses_total",
-    "Jacobian requests served by a stale cross-h factorization plus "
-    "iterative refinement.", ("method",))
-_TM_LU_FALLBACKS = telemetry.counter(
-    "repro_integrator_lu_refinement_fallbacks_total",
-    "Stale cross-h solves whose refinement stalled, forcing a fresh "
-    "factorization.", ("method",))
-_TM_LADDER_STEPS = telemetry.counter(
-    "repro_integrator_ladder_steps_total",
-    "Accepted steps taken exactly on a step-ladder rung.", ("method",))
-_TM_LADDER_HOLDS = telemetry.counter(
-    "repro_integrator_ladder_holds_total",
-    "Accepted on-rung steps that repeated the previous step's rung.",
-    ("method",))
+
+
+def _counter(name: str, help_text: str):
+    return telemetry.counter(name, help_text, ("method",))
+
+
+#: (per-method counter, RunStatistics getter) pairs; run() publishes the
+#: growth of each getter's value across the run into its counter
+_TM_COUNTERS = (
+    (_counter("repro_integrator_steps_total",
+              "Accepted time steps, by method."),
+     lambda s: s.num_steps),
+    (_counter("repro_integrator_rejections_total",
+              "Rejected step attempts, by method."),
+     lambda s: s.num_rejections),
+    (_counter("repro_integrator_newton_iterations_total",
+              "Newton iterations across all steps, by method."),
+     lambda s: s.total_newton_iterations),
+    (_counter("repro_integrator_lu_factorizations_total",
+              "Real LU factorizations performed (the Table-I #LU work)."),
+     lambda s: s.lu.num_factorizations),
+    (_counter("repro_integrator_lu_reused_total",
+              "Exact cross-step LU reuses served by the linearization cache."),
+     lambda s: s.lu.num_reused),
+    (_counter("repro_integrator_lu_orderings_total",
+              "Factorizations that computed a fresh fill-reducing ordering."),
+     lambda s: s.lu.num_orderings),
+    (_counter("repro_integrator_lu_symbolic_reuses_total",
+              "Numeric refactorizations that reused a pattern-matched ordering."),
+     lambda s: s.lu.num_symbolic_reuses),
+    (_counter("repro_integrator_basis_reuses_total",
+              "Krylov MEVP evaluations served from a reused segment-slope basis."),
+     lambda s: s.mevp.num_basis_reuses),
+    (_counter("repro_integrator_ladder_steps_total",
+              "Accepted steps taken exactly on a step-ladder rung."),
+     lambda s: s.num_ladder_steps),
+    (_counter("repro_integrator_ladder_holds_total",
+              "Accepted on-rung steps that repeated the previous step's rung."),
+     lambda s: s.num_ladder_holds),
+)
 _TM_RUN_SECONDS = telemetry.histogram(
     "repro_integrator_run_seconds",
     "Wall-clock seconds per transient run.", ("method",))
@@ -179,7 +172,7 @@ class Integrator(ABC):
         h_max = opts.resolved_h_max()
         return GeometricLadder(
             h_ref=min(opts.resolved_h_init(), h_max),
-            ratio=opts.step_ladder_ratio,
+            ratio=LADDER_RATIO,
             h_min=opts.resolved_h_min(),
             h_max=h_max,
         )
@@ -201,7 +194,12 @@ class Integrator(ABC):
     # -- the time loop --------------------------------------------------------------------
 
     def run(self, x0: np.ndarray, result: Optional[SimulationResult] = None) -> SimulationResult:
-        """Integrate from ``t_start`` to ``t_stop`` starting at state ``x0``."""
+        """Integrate from ``t_start`` to ``t_stop`` starting at state ``x0``.
+
+        Every run starts from an empty linearization cache, so its counters
+        (``#LU``, ``#LUhit``, ``#LUsym``) do not depend on earlier runs.
+        """
+        self.cache.invalidate()
         opts = self.options
         if result is None:
             result = SimulationResult(
@@ -290,46 +288,15 @@ class Integrator(ABC):
 
     def _stats_snapshot(self):
         stats = self.stats
-        return (stats.num_steps, stats.num_rejections,
-                stats.total_newton_iterations, stats.lu.num_factorizations,
-                stats.lu.num_reused, stats.lu.num_bypassed,
-                stats.lu.num_orderings, stats.lu.num_symbolic_reuses,
-                stats.lu.num_stale_reuses, stats.lu.num_refinement_fallbacks,
-                stats.num_ladder_steps, stats.num_ladder_holds,
-                stats.mevp.num_basis_reuses, stats.runtime_seconds)
+        return ([getter(stats) for _, getter in _TM_COUNTERS],
+                stats.runtime_seconds)
 
     def _publish_telemetry(self, before) -> None:
-        after = self._stats_snapshot()
-        deltas = [max(0, b - a) for a, b in zip(before, after)]
-        (steps, rejections, newton, lu, reused, bypassed,
-         orderings, symbolic, stale, fallbacks, ladder_steps, ladder_holds,
-         basis, seconds) = deltas
+        counts_before, seconds_before = before
+        counts_after, seconds_after = self._stats_snapshot()
         method = self.name
         _TM_RUNS.labels(method, "yes" if self.stats.completed else "no").inc()
-        if steps:
-            _TM_STEPS.labels(method).inc(steps)
-        if rejections:
-            _TM_REJECTIONS.labels(method).inc(rejections)
-        if newton:
-            _TM_NEWTON.labels(method).inc(newton)
-        if lu:
-            _TM_LU.labels(method).inc(lu)
-        if reused:
-            _TM_LU_REUSED.labels(method).inc(reused)
-        if bypassed:
-            _TM_LU_BYPASSED.labels(method).inc(bypassed)
-        if orderings:
-            _TM_LU_ORDERINGS.labels(method).inc(orderings)
-        if symbolic:
-            _TM_LU_SYMBOLIC.labels(method).inc(symbolic)
-        if stale:
-            _TM_LU_STALE.labels(method).inc(stale)
-        if fallbacks:
-            _TM_LU_FALLBACKS.labels(method).inc(fallbacks)
-        if ladder_steps:
-            _TM_LADDER_STEPS.labels(method).inc(ladder_steps)
-        if ladder_holds:
-            _TM_LADDER_HOLDS.labels(method).inc(ladder_holds)
-        if basis:
-            _TM_BASIS_REUSES.labels(method).inc(basis)
-        _TM_RUN_SECONDS.labels(method).observe(seconds)
+        for (counter, _), old, new in zip(_TM_COUNTERS, counts_before, counts_after):
+            if new > old:
+                counter.labels(method).inc(new - old)
+        _TM_RUN_SECONDS.labels(method).observe(max(0.0, seconds_after - seconds_before))

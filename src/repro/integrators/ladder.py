@@ -23,7 +23,11 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-__all__ = ["GeometricLadder"]
+__all__ = ["GeometricLadder", "LADDER_RATIO"]
+
+#: ratio between adjacent rungs of a run's ladder; 2 matches the classic
+#: halve/double controller, so quantization costs at most one halving
+LADDER_RATIO = 2.0
 
 #: relative slack when deciding whether a value sits on a rung; covers the
 #: float noise of ``h_ref * ratio**k`` round-trips without ever merging two

@@ -30,7 +30,6 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "LUStats",
     "SparseLU",
-    "RefinedLU",
     "SymbolicCache",
     "FactorizationBudgetExceeded",
     "factorize",
@@ -62,9 +61,7 @@ class LUStats:
     cached factor (see :mod:`repro.core.workspace`) are tallied separately
     so the Table-I ``#LU`` column stays an honest measure of the numerical
     work performed: ``num_reused`` counts exact reuses (the matrix is
-    bit-identical, e.g. the constant ``G`` of a linear circuit) and
-    ``num_bypassed`` counts SPICE-style bypass reuses (the linearization
-    moved, but stayed under the configured threshold).
+    bit-identical, e.g. the constant ``G`` of a linear circuit).
     """
 
     num_factorizations: int = 0
@@ -75,21 +72,10 @@ class LUStats:
     factor_nnz: List[int] = field(default_factory=list)
     #: cache hits on an unchanged matrix (no numerical work skipped silently)
     num_reused: int = 0
-    #: bypass-mode reuses of a slightly stale factorization
-    num_bypassed: int = 0
     #: factorizations that computed a fresh fill-reducing ordering
     num_orderings: int = 0
     #: numeric refactorizations that reused a pattern-matched ordering
     num_symbolic_reuses: int = 0
-    #: requests served by a stale cross-``h`` factorization plus iterative
-    #: refinement (see :class:`RefinedLU`); each one is a factorization the
-    #: adaptive controller did not pay for
-    num_stale_reuses: int = 0
-    #: stale cross-``h`` solves whose refinement residual stayed above
-    #: tolerance, forcing a fresh factorization after all (that
-    #: factorization lands in ``num_factorizations`` too, so the net LU
-    #: saving is ``num_stale_reuses - num_refinement_fallbacks``)
-    num_refinement_fallbacks: int = 0
 
     @property
     def peak_factor_nnz(self) -> int:
@@ -101,8 +87,8 @@ class LUStats:
 
     @property
     def num_cache_hits(self) -> int:
-        """Total factorizations avoided through reuse (exact + bypass)."""
-        return self.num_reused + self.num_bypassed
+        """Total factorizations avoided through reuse (``num_reused``)."""
+        return self.num_reused
 
     def merge(self, other: "LUStats") -> None:
         """Accumulate counters from another stats object in place."""
@@ -112,11 +98,8 @@ class LUStats:
         self.solve_time += other.solve_time
         self.factor_nnz.extend(other.factor_nnz)
         self.num_reused += other.num_reused
-        self.num_bypassed += other.num_bypassed
         self.num_orderings += other.num_orderings
         self.num_symbolic_reuses += other.num_symbolic_reuses
-        self.num_stale_reuses += other.num_stale_reuses
-        self.num_refinement_fallbacks += other.num_refinement_fallbacks
 
     def as_dict(self) -> dict:
         return {
@@ -127,11 +110,8 @@ class LUStats:
             "peak_factor_nnz": self.peak_factor_nnz,
             "total_factor_nnz": self.total_factor_nnz,
             "num_reused": self.num_reused,
-            "num_bypassed": self.num_bypassed,
             "num_orderings": self.num_orderings,
             "num_symbolic_reuses": self.num_symbolic_reuses,
-            "num_stale_reuses": self.num_stale_reuses,
-            "num_refinement_fallbacks": self.num_refinement_fallbacks,
         }
 
 
@@ -312,141 +292,6 @@ class SparseLU:
 
     def __repr__(self) -> str:
         return f"SparseLU(shape={self.shape}, nnz_factors={self.nnz_factors}, label={self.label!r})"
-
-
-class RefinedLU:
-    """A stale factorization promoted to an exact solver by refinement.
-
-    The adaptive-stepping cache hands this out when a Jacobian is requested
-    at ``h_new`` but only ``LU(C/h_cached + G)`` with a nearby ``h_cached``
-    is in store.  Each :meth:`solve` runs iterative refinement: the stale
-    factors produce a first guess, residuals are formed against the *exact*
-    ``C/h_new + G`` operator, and stale back-substitutions correct until the
-    relative residual drops below ``rtol``.  The error contracts roughly by
-    the relative step drift per sweep, so a drift bounded by
-    ``SimOptions.h_bypass_tol`` converges in a handful of triangular solves
-    -- far cheaper than a fresh factorization.  If the cap is hit first the
-    wrapper falls back to a real factorization (``fallback``), counts it in
-    ``LUStats.num_refinement_fallbacks`` and delegates this and all later
-    solves to the fresh factors, so results are never silently inexact.
-
-    One :meth:`solve` counts as one logical solve in ``LUStats.num_solves``
-    regardless of how many internal refinement sweeps it took; this keeps
-    the verify-matrix accounting identity
-    ``#solves == (#LU - fallbacks) + exact hits + bypasses + stale reuses``
-    exact for the implicit methods.
-    """
-
-    def __init__(
-        self,
-        stale: SparseLU,
-        matrix: sp.spmatrix,
-        stats: Optional[LUStats],
-        rtol: float = 1e-10,
-        max_refinements: int = 8,
-        fallback=None,
-        label: str = "",
-    ):
-        self._stale = stale
-        self._matrix = matrix.tocsc()
-        self._stats = stats
-        self._rtol = float(rtol)
-        self._max_refinements = int(max_refinements)
-        #: zero-argument callable producing a fresh :class:`SparseLU` of the
-        #: exact operator; invoked at most once
-        self._fallback = fallback
-        self._fresh: Optional[SparseLU] = None
-        self.label = label or stale.label
-
-    @property
-    def shape(self) -> tuple:
-        return self._stale.shape
-
-    @property
-    def nnz_factors(self) -> int:
-        active = self._fresh if self._fresh is not None else self._stale
-        return active.nnz_factors
-
-    @property
-    def fell_back(self) -> bool:
-        """True once refinement gave up and a fresh factorization took over."""
-        return self._fresh is not None
-
-    def rebind_stats(self, stats: Optional[LUStats]) -> None:
-        self._stats = stats
-        if self._fresh is not None:
-            self._fresh.rebind_stats(stats)
-
-    def _raw(self, b: np.ndarray) -> np.ndarray:
-        """Back-substitute through the stale factors without touching stats."""
-        stale = self._stale
-        return stale._unpermute(stale._lu.solve(b))
-
-    def _refine(self, b: np.ndarray) -> Tuple[np.ndarray, bool]:
-        bnorm = float(np.linalg.norm(b))
-        tol = self._rtol * (bnorm if bnorm > 0.0 else 1.0)
-        x = self._raw(b)
-        for _ in range(self._max_refinements):
-            residual = b - self._matrix @ x
-            if float(np.linalg.norm(residual)) <= tol:
-                return x, True
-            x = x + self._raw(residual)
-        residual = b - self._matrix @ x
-        return x, float(np.linalg.norm(residual)) <= tol
-
-    def _promote(self) -> SparseLU:
-        """Refinement stalled: charge a fallback and factorize for real."""
-        if self._fallback is None:
-            raise np.linalg.LinAlgError(
-                f"iterative refinement stalled for {self.label or 'matrix'} "
-                "and no fallback factorizer was provided"
-            )
-        if self._stats is not None:
-            self._stats.num_refinement_fallbacks += 1
-        self._fresh = self._fallback()
-        self._fresh.rebind_stats(self._stats)
-        return self._fresh
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve the exact system ``(C/h_new + G) x = b``."""
-        if self._fresh is not None:
-            return self._fresh.solve(b)
-        b = np.asarray(b, dtype=float)
-        start = time.perf_counter()
-        x, converged = self._refine(b)
-        if not converged:
-            if self._stats is not None:
-                self._stats.solve_time += time.perf_counter() - start
-            return self._promote().solve(b)
-        if self._stats is not None:
-            self._stats.num_solves += 1
-            self._stats.solve_time += time.perf_counter() - start
-        return x
-
-    def solve_many(self, B: np.ndarray) -> np.ndarray:
-        """Solve for several right-hand sides stacked as columns."""
-        if self._fresh is not None:
-            return self._fresh.solve_many(B)
-        B = np.asarray(B, dtype=float)
-        if B.ndim != 2:
-            return self.solve(B)
-        start = time.perf_counter()
-        columns = []
-        for j in range(B.shape[1]):
-            x, converged = self._refine(B[:, j])
-            if not converged:
-                if self._stats is not None:
-                    self._stats.solve_time += time.perf_counter() - start
-                return self._promote().solve_many(B)
-            columns.append(x)
-        if self._stats is not None:
-            self._stats.num_solves += B.shape[1]
-            self._stats.solve_time += time.perf_counter() - start
-        return np.stack(columns, axis=1)
-
-    def __repr__(self) -> str:
-        state = "fresh" if self._fresh is not None else "stale"
-        return f"RefinedLU(shape={self.shape}, state={state}, label={self.label!r})"
 
 
 def factorize(

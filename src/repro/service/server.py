@@ -535,6 +535,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     service: ServiceServer  # injected per server instance
     protocol_version = "HTTP/1.1"
+    #: headers and body go out in two sends; with Nagle's algorithm on, the
+    #: body waits for the client's delayed ACK of the headers (~40 ms per
+    #: reply on a kept-alive connection)
+    disable_nagle_algorithm = True
     #: quiet by default; the CLI flips this for interactive serving
     verbose = False
 

@@ -169,7 +169,7 @@ def check_lu_accounting(
 
     * identical step counts and bit-identical (<= ``trajectory_tol``)
       trajectories -- the cache is exact;
-    * ``#LU(off) == #LU(on) + reused(on) + bypassed(on)`` -- every
+    * ``#LU(off) == #LU(on) + reused(on)`` -- every
       factorization the cache skipped is counted as a hit, so the
       Table-I ``#LU`` column stays an honest measure of numerical work;
     * optionally, an O(1) ceiling on the cached run's factorizations
@@ -193,13 +193,12 @@ def check_lu_accounting(
             "cache-exactness", subject,
             f"trajectory difference {diff:.3e} exceeds {trajectory_tol:.1e}",
         ))
-    expected = on.lu.num_factorizations + on.lu.num_reused + on.lu.num_bypassed
+    expected = on.lu.num_factorizations + on.lu.num_reused
     if off.lu.num_factorizations != expected:
         violations.append(InvariantViolation(
             "lu-accounting", subject,
             f"#LU(off)={off.lu.num_factorizations} != #LU(on)"
-            f"={on.lu.num_factorizations} + reused={on.lu.num_reused} "
-            f"+ bypassed={on.lu.num_bypassed}",
+            f"={on.lu.num_factorizations} + reused={on.lu.num_reused}",
         ))
     if max_lu_cached is not None and on.lu.num_factorizations > max_lu_cached:
         violations.append(InvariantViolation(
@@ -239,14 +238,10 @@ def check_adaptive_reuse_accounting(result, subject: str = "") -> List[Invariant
     Valid for the implicit methods (BENR / TR / Gear2) on any circuit:
     their Newton loop performs exactly one Jacobian request plus one
     triangular solve per non-converged iteration, and every request is
-    served by exactly one of {fresh factorization, exact cache hit,
-    bypass, stale cross-``h`` reuse}.  A refinement fallback is a fresh
-    factorization taken *inside* an already-counted stale solve, so it
-    must not add a solve of its own.  Hence:
+    served by exactly one of {fresh factorization, exact cache hit}.
+    Hence:
 
-    * ``#solves == (#LU - fallbacks) + reused + bypassed + stale``;
-    * ``fallbacks <= stale`` -- a fallback can only happen to a request
-      that was first served stale;
+    * ``#solves == #LU + reused``;
     * ``#LU == orderings + symbolic reuses`` (delegated).
 
     Not applicable to ER, whose ``solve_many`` performs several counted
@@ -254,21 +249,11 @@ def check_adaptive_reuse_accounting(result, subject: str = "") -> List[Invariant
     """
     lu = result.stats.lu
     violations = check_symbolic_accounting(result, subject=subject)
-    expected = (lu.num_factorizations - lu.num_refinement_fallbacks
-                + lu.num_reused + lu.num_bypassed + lu.num_stale_reuses)
-    if lu.num_solves != expected:
+    if lu.num_solves != lu.num_factorizations + lu.num_reused:
         violations.append(InvariantViolation(
             "adaptive-reuse-accounting", subject,
-            f"#solves={lu.num_solves} != (#LU={lu.num_factorizations} - "
-            f"fallbacks={lu.num_refinement_fallbacks}) + "
-            f"reused={lu.num_reused} + bypassed={lu.num_bypassed} + "
-            f"stale={lu.num_stale_reuses}",
-        ))
-    if lu.num_refinement_fallbacks > lu.num_stale_reuses:
-        violations.append(InvariantViolation(
-            "adaptive-reuse-accounting", subject,
-            f"fallbacks={lu.num_refinement_fallbacks} exceed "
-            f"stale reuses={lu.num_stale_reuses}",
+            f"#solves={lu.num_solves} != #LU={lu.num_factorizations} + "
+            f"reused={lu.num_reused}",
         ))
     return violations
 
@@ -281,7 +266,7 @@ def check_adaptive_band(
     subject: str = "",
     samples: int = 256,
 ) -> List[InvariantViolation]:
-    """Bound the waveform deviation of a ladder/stale run vs an exact run.
+    """Bound the waveform deviation of a ladder run vs an exact run.
 
     The two runs take *different step sequences* (quantization changes the
     grid), so the observed node waveforms are compared after linear
@@ -310,7 +295,7 @@ def check_adaptive_band(
     if not deviation <= band:
         violations.append(InvariantViolation(
             "adaptive-band", subject,
-            f"ladder/stale waveform deviates {deviation:.3e} from the "
+            f"ladder waveform deviates {deviation:.3e} from the "
             f"exact adaptive run at node {node!r} (band {band:.1e})",
         ))
     return violations

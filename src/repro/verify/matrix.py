@@ -540,16 +540,15 @@ def _adaptive_reuse_invariants(
             ("rc_ladder", "ramp", "benr"),
             ("rc_mesh", "pulse", "trap"),
         )) -> List[CheckRow]:
-    """Ladder + stale-reuse runs: counted savings, in-band trajectories.
+    """Ladder runs: counted savings, in-band trajectories.
 
-    Runs each case with the cache-aware stepping knobs *off* (the exact
-    baseline) and *on* (``step_ladder="geometric"`` plus a 5% stale
-    cross-``h`` bypass).  The on-run must (a) satisfy the extended solve
-    accounting identity ``#solves == (#LU - fallbacks) + reused +
-    bypassed + stale``, (b) not pay more factorizations than the exact
-    run -- the whole point of the mechanism -- and (c) stay inside the
-    per-family differential band (twice the method's oracle band, scaled
-    by the family's ``cross_scale``) of the exact trajectory.
+    Runs each case with the step ladder *off* (the exact baseline) and
+    *on* (``step_ladder="geometric"``).  The on-run must (a) satisfy the
+    solve accounting identity ``#solves == #LU + reused``, (b) not pay
+    more factorizations than the exact run -- the whole point of the
+    mechanism -- and (c) stay inside the per-family differential band
+    (twice the method's oracle band, scaled by the family's
+    ``cross_scale``) of the exact trajectory.
     """
     from repro.verify.circuits import driven_family
 
@@ -568,18 +567,17 @@ def _adaptive_reuse_invariants(
                 t_stop=t_stop, h_init=config["h_init"],
                 h_max=config["h_max"], store_states=True,
                 step_ladder="geometric" if reuse else "off",
-                h_bypass_tol=0.05 if reuse else 0.0,
             )
             results[reuse] = TransientSimulator(
                 mna, method=method, options=options).run()
         subject = f"{family}/{source}/{method}"
         exact, reused = results[False], results[True]
         violations = list(check_adaptive_reuse_accounting(
-            reused, subject=f"{subject}/ladder+stale"))
+            reused, subject=f"{subject}/ladder"))
         if reused.stats.lu.num_factorizations > exact.stats.lu.num_factorizations:
             violations.append(InvariantViolation(
                 "adaptive-reuse", subject,
-                f"ladder+stale paid more LUs than the exact run: "
+                f"the ladder paid more LUs than the exact run: "
                 f"{reused.stats.lu.num_factorizations} vs "
                 f"{exact.stats.lu.num_factorizations}",
             ))
@@ -589,7 +587,7 @@ def _adaptive_reuse_invariants(
         rows.extend(_invariant_rows(
             violations, subject=f"adaptive-reuse:{family}/{source}",
             method=method,
-            total_label="ladder+stale: counted reuse, in-band trajectories",
+            total_label="ladder: counted reuse, in-band trajectories",
         ))
     return rows
 

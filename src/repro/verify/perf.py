@@ -51,7 +51,7 @@ FIG1_HISTORY_PATH = (Path(__file__).resolve().parents[3]
                      / "benchmarks" / "history" / "fig1_history.jsonl")
 
 #: sibling history for the cache-aware stepping benchmark (LU-count
-#: ratios of ladder / ladder+stale runs against the fixed-step baseline)
+#: ratios of ladder runs against the fixed-step baseline)
 ADAPTIVE_HISTORY_PATH = (Path(__file__).resolve().parents[3]
                          / "benchmarks" / "history" / "adaptive_history.jsonl")
 

@@ -3,14 +3,12 @@
 The cache's contract has three parts, each locked in here:
 
 * **exactness** -- linear and nonlinear circuits produce bit-identical
-  ``SimulationResult`` states with the cache on vs off (the default
-  configuration changes *work*, never *results*);
+  ``SimulationResult`` states with the cache on vs off (the cache changes
+  *work*, never *results*);
 * **honest counters** -- ``#LU`` keeps counting real factorizations only,
-  reuses land in ``num_reused`` / ``num_bypassed``;
-* **bypass semantics** -- with ``bypass_tol > 0`` a nonlinear run reuses
-  stale factors while the linearization drift is small and refactorizes
-  (cache invalidation) once a device moves the operating point past the
-  threshold.
+  reuses land in ``num_reused``;
+* **one reuse rule** -- only an unchanged matrix on a linear circuit is
+  served from the cache; nonlinear circuits factorize every request.
 """
 
 import numpy as np
@@ -59,7 +57,6 @@ class TestLinearExactness:
         # Newton solve contributes the only other one
         assert r_on.stats.num_lu_factorizations <= 2
         assert stats.num_reused == r_on.stats.num_steps - 1
-        assert stats.num_bypassed == 0
         assert r_on.stats.num_lu_cache_hits == stats.num_reused
         assert r_on.summary()["#LUhit"] == stats.num_reused
 
@@ -80,8 +77,8 @@ class TestLinearExactness:
 class TestNonlinearExactness:
     @pytest.mark.parametrize("method", ["benr", "er"])
     def test_states_bit_identical_without_bypass(self, method):
-        """Nonlinear circuits: the default cache (bypass off) never reuses
-        a stale linearization, so results are bit-identical."""
+        """Nonlinear circuits: the cache never reuses a factorization of a
+        moving linearization, so results are bit-identical."""
         ckt = inverter_chain(2)
         kwargs = dict(t_stop=0.5e-9, err_budget=5e-4)
         r_off = run(ckt, method, cached=False, **kwargs)
@@ -90,35 +87,6 @@ class TestNonlinearExactness:
         assert r_off.times == r_on.times
         np.testing.assert_array_equal(r_off.state_array, r_on.state_array)
         assert r_on.stats.lu.num_reused == 0
-        assert r_on.stats.lu.num_bypassed == 0
-
-
-class TestBypass:
-    def test_bypass_reuses_and_invalidates(self):
-        """A switching nonlinear circuit with bypass enabled must both
-        reuse factors (while the linearization drift is small) and
-        refactorize when a device moves the operating point past the
-        threshold -- the invalidation case."""
-        ckt = inverter_chain(2)
-        kwargs = dict(t_stop=0.5e-9, err_budget=5e-4)
-        exact = run(ckt, "benr", cached=True, **kwargs)
-        bypassed = run(ckt, "benr", cached=True, bypass_tol=0.05, **kwargs)
-        assert bypassed.stats.completed
-        assert bypassed.stats.lu.num_bypassed > 0
-        # invalidation: the inverters switch, so the drift crosses the
-        # threshold many times over the run
-        assert bypassed.stats.lu.num_factorizations > 1
-        assert (bypassed.stats.lu.num_factorizations
-                < exact.stats.lu.num_factorizations)
-        # bypass is an inexact-Newton strategy: the answer stays within
-        # solver tolerances of the exact run
-        v_exact = exact.voltage("out2")[-1]
-        v_bypass = bypassed.voltage("out2")[-1]
-        assert v_bypass == pytest.approx(v_exact, abs=1e-4)
-
-    def test_bypass_tol_validation(self):
-        with pytest.raises(ValueError):
-            SimOptions(bypass_tol=-1.0)
 
 
 class TestCachePrimitives:
@@ -209,12 +177,12 @@ class TestMultiRungMemoization:
     def _mna(self):
         return linear_circuit().build()
 
-    def test_capacity_follows_lu_cache_entries(self):
+    def test_capacity_is_max_entries(self):
         mna = self._mna()
-        cache = LinearizationCache(mna, SimOptions(lu_cache_entries=3))
-        for i in range(10):
+        cache = LinearizationCache(mna, SimOptions())
+        for i in range(2 * LinearizationCache.MAX_ENTRIES):
             cache.lu(("benr", float(i + 1)), mna.G_lin)
-        assert len(cache._lus) == 3
+        assert len(cache._lus) == LinearizationCache.MAX_ENTRIES
 
     def test_rehit_after_oscillation_across_rungs(self):
         """grow / shrink / grow between two rungs: after the first visit
@@ -230,7 +198,8 @@ class TestMultiRungMemoization:
 
     def test_eviction_is_least_recently_used(self):
         mna = self._mna()
-        cache = LinearizationCache(mna, SimOptions(lu_cache_entries=2))
+        cache = LinearizationCache(mna, SimOptions())
+        cache.MAX_ENTRIES = 2
         stats = LUStats()
         cache.lu(("benr", 1.0), mna.G_lin, stats=stats)
         cache.lu(("benr", 2.0), mna.G_lin, stats=stats)
@@ -256,30 +225,33 @@ class TestMultiRungMemoization:
 
     @pytest.mark.parametrize("method", ["benr", "trap", "gear2"])
     def test_small_capacity_is_bit_identical(self, method):
-        """``lu_cache_entries`` changes work, never results: a 2-entry
-        cache (heavy eviction) reproduces the default run bit-for-bit."""
+        """The cache capacity changes work, never results: a 2-entry cache
+        (heavy eviction) reproduces the default run bit-for-bit."""
         ckt = linear_circuit()
         r_default = run(ckt, method, cached=True)
-        r_small = run(ckt, method, cached=True, lu_cache_entries=2)
+        options = SimOptions(t_stop=1e-9, h_init=2e-12)
+        sim = TransientSimulator(ckt, method=method, options=options)
+        sim.integrator.cache.MAX_ENTRIES = 2
+        r_small = sim.run()
         assert r_default.times == r_small.times
         np.testing.assert_array_equal(r_default.state_array,
                                       r_small.state_array)
 
     def test_default_knobs_do_not_touch_new_counters(self):
         result = run(linear_circuit(), "benr", cached=True)
-        assert result.stats.lu.num_stale_reuses == 0
-        assert result.stats.lu.num_refinement_fallbacks == 0
         assert result.stats.num_ladder_steps == 0
         assert result.stats.num_ladder_holds == 0
 
 
 class TestMultipleRuns:
-    def test_second_run_reuses_factorization_with_identical_states(self):
-        """A persistent simulator reuses the cached LU across run() calls;
-        the counters of the second run report reuses, the states match."""
+    def test_second_run_repeats_first_run(self):
+        """Every run() starts from an empty cache: a persistent simulator's
+        second run reports the first run's LU counters and states."""
         options = SimOptions(t_stop=1e-9, h_init=2e-12)
         sim = TransientSimulator(linear_circuit(), method="er", options=options)
         r1 = sim.run()
         r2 = sim.run()
         np.testing.assert_array_equal(r1.state_array, r2.state_array)
-        assert r2.stats.lu.num_reused >= r2.stats.num_steps
+        for key in ("num_factorizations", "num_reused", "num_solves",
+                    "num_orderings", "num_symbolic_reuses"):
+            assert getattr(r2.stats.lu, key) == getattr(r1.stats.lu, key), key

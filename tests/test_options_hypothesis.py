@@ -77,7 +77,6 @@ def sim_options(draw):
         max_factor_nnz=draw(st.one_of(st.none(),
                                       st.integers(min_value=1, max_value=10**9))),
         cache_linearization=draw(st.booleans()),
-        bypass_tol=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
         reuse_segment_slope=draw(st.booleans()),
         store_states=draw(st.booleans()),
         observe_nodes=draw(st.lists(st.text(min_size=1, max_size=8),

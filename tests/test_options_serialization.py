@@ -81,8 +81,13 @@ class TestSimOptions:
             SimOptions.from_dict({"alpha": 1.5})
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="no_such_option"):
-            SimOptions.from_dict({"no_such_option": 1})
+        # after the typo, the LU-reuse knobs that were removed: option
+        # files and job contexts that still carry them must fail loudly
+        for key in ("no_such_option", "bypass_tol", "h_bypass_tol",
+                    "h_bypass_refine_tol", "h_bypass_max_refinements",
+                    "lu_cache_entries", "step_ladder_ratio"):
+            with pytest.raises(ValueError, match=key):
+                SimOptions.from_dict({key: 1})
 
     def test_correction_normalization_survives_round_trip(self):
         """The er-c method flips ``correction`` on; the serialized form of

@@ -212,6 +212,28 @@ class TestHealthAndStats:
         assert document["ok"] is True
         assert set(document["jobs"]) == {"queued", "leased", "done", "failed"}
 
+    def test_keep_alive_round_trips_do_not_stall(self, service):
+        """Replies on a reused connection are not held back by Nagle's
+        algorithm waiting on the client's delayed ACK (~40 ms each)."""
+        import http.client
+        import time
+        from urllib.parse import urlsplit
+
+        address = urlsplit(service.url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive round trips took {elapsed:.3f} s"
+
     def test_stats_shape_and_rendering(self, service):
         http(f"{service.url}/scenarios", {"scenario": scenario_body()})
         status, stats = http(f"{service.url}/stats")

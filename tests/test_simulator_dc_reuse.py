@@ -1,6 +1,7 @@
 """Regression tests: ``run()`` must reuse the DC result cached by ``run_dc()``."""
 
 import numpy as np
+import pytest
 
 import repro.core.simulator as simulator_module
 from repro.circuit.netlist import Circuit
@@ -59,20 +60,23 @@ def test_explicit_x0_skips_dc_entirely(monkeypatch):
     assert calls == []
 
 
-def test_dc_lu_work_attributed_regardless_of_call_order():
-    """#LU (Table I) must not depend on whether run_dc() warmed the cache."""
-    sim_plain = TransientSimulator(rc_circuit(), method="benr",
-                                   options=SimOptions(t_stop=1e-9))
+@pytest.mark.parametrize("step_ladder", ["off", "geometric"])
+def test_dc_lu_work_attributed_regardless_of_call_order(step_ladder):
+    """#LU and #LUsym (Table I) must depend neither on whether run_dc()
+    warmed the cache nor on earlier run() calls of the same simulator."""
+    options = SimOptions(t_stop=1e-9, step_ladder=step_ladder)
+    sim_plain = TransientSimulator(rc_circuit(), method="benr", options=options)
     plain = sim_plain.run()
 
-    sim_warm = TransientSimulator(rc_circuit(), method="benr",
-                                  options=SimOptions(t_stop=1e-9))
+    sim_warm = TransientSimulator(rc_circuit(), method="benr", options=options)
     sim_warm.run_dc()
     warm = sim_warm.run()
     again = sim_warm.run()
 
-    assert warm.stats.num_lu_factorizations == plain.stats.num_lu_factorizations
-    assert again.stats.num_lu_factorizations == plain.stats.num_lu_factorizations
+    for result in (warm, again):
+        assert result.stats.num_lu_factorizations == plain.stats.num_lu_factorizations
+        assert result.stats.num_lu_orderings == plain.stats.num_lu_orderings
+        assert result.stats.num_symbolic_reuses == plain.stats.num_symbolic_reuses
     assert warm.stats.peak_factor_nnz == plain.stats.peak_factor_nnz
 
 

@@ -81,9 +81,8 @@ class TestStats:
         d = stats.as_dict()
         assert set(d) == {
             "num_factorizations", "num_solves", "factor_time", "solve_time",
-            "peak_factor_nnz", "total_factor_nnz", "num_reused", "num_bypassed",
+            "peak_factor_nnz", "total_factor_nnz", "num_reused",
             "num_orderings", "num_symbolic_reuses",
-            "num_stale_reuses", "num_refinement_fallbacks",
         }
 
     def test_empty_stats(self):
