@@ -8,7 +8,7 @@ default), measuring
 
 * steps per second of the integrator's time loop,
 * LU factorizations vs counted cache reuses (``#LU`` stays honest),
-* ER segment-slope basis reuses, and
+* the average Krylov dimension, and
 * the maximum absolute state-trajectory difference between the two modes
   (the cache is exact: the expected difference is 0.0).
 
@@ -96,8 +96,7 @@ def suite(smoke: bool):
 
 def run_once(mna, method: str, sim_kwargs: dict, cached: bool):
     options = SimOptions(
-        cache_linearization=cached, reuse_segment_slope=cached,
-        store_states=True, **sim_kwargs,
+        cache_linearization=cached, store_states=True, **sim_kwargs,
     )
     simulator = TransientSimulator(mna, method=method, options=options)
     simulator.run_dc()  # excluded from the timed transient loop
@@ -130,7 +129,6 @@ def mode_record(result) -> dict:
         "steps_per_second": stats.num_steps / runtime if runtime > 0 else None,
         "lu_factorizations": stats.lu.num_factorizations,
         "lu_reused": stats.lu.num_reused,
-        "mevp_basis_reuses": stats.mevp.num_basis_reuses,
         "avg_krylov_dim": round(stats.average_krylov_dimension, 2),
     }
 

@@ -172,10 +172,6 @@ class SimOptions:
     #: produces bit-identical trajectories (False restores the per-step
     #: re-assembly/re-factorization behaviour)
     cache_linearization: bool = True
-    #: ER only: reuse the slope (phi_2) Krylov basis across steps inside
-    #: one PWL source segment -- the slope vector is constant there (the
-    #: Eq. 14 remark); requires the linearization cache on a linear circuit
-    reuse_segment_slope: bool = True
     #: reuse the fill-reducing column ordering across factorizations with
     #: an identical sparsity pattern (symbolic analysis runs once per
     #: pattern, numeric refactorizations are bit-identical to fresh

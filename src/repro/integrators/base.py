@@ -67,9 +67,6 @@ _TM_COUNTERS = (
     (_counter("repro_integrator_lu_symbolic_reuses_total",
               "Numeric refactorizations that reused a pattern-matched ordering."),
      lambda s: s.lu.num_symbolic_reuses),
-    (_counter("repro_integrator_basis_reuses_total",
-              "Krylov MEVP evaluations served from a reused segment-slope basis."),
-     lambda s: s.mevp.num_basis_reuses),
     (_counter("repro_integrator_ladder_steps_total",
               "Accepted steps taken exactly on a step-ladder rung."),
      lambda s: s.num_ladder_steps),

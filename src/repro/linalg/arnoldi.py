@@ -57,7 +57,11 @@ class ArnoldiProcess:
         Run a second Gram-Schmidt pass (default True).
     """
 
-    #: relative tolerance below which ``h_{j+1,j}`` is treated as a breakdown
+    #: tolerance on ``h_{j+1,j} / ||A v_j||`` below which the new direction
+    #: is treated as a breakdown; relative to the operator's own scale, so
+    #: the verdict does not depend on the units of the operator (the
+    #: invert-Krylov operator ``-G^{-1}C`` has the magnitude of the
+    #: circuit's time constants, picoseconds on on-chip RC networks)
     BREAKDOWN_TOL = 1e-14
 
     def __init__(
@@ -140,7 +144,7 @@ class ArnoldiProcess:
         h_next = float(np.linalg.norm(w))
         self.H[j + 1, j] = h_next
         self.m = j + 1
-        if h_next <= self.BREAKDOWN_TOL * max(norm_before, 1.0):
+        if h_next <= self.BREAKDOWN_TOL * norm_before:
             self.breakdown = True
             raise ArnoldiBreakdown(self.m)
         self.V[:, j + 1] = w / h_next

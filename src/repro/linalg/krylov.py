@@ -41,9 +41,10 @@ class MEVPStats:
     num_operator_applications: int = 0
     num_nonconverged: int = 0
     dimensions: list = field(default_factory=list)
-    #: evaluations served from a basis reused across steps (ER segment-slope
-    #: reuse); these still count as evaluations above -- this counter keeps
-    #: the saved Arnoldi runs visible in the statistics
+    #: evaluations served from a basis reused across steps; ER builds one
+    #: fresh basis per step for its fused phi_1/phi_2 vector and no longer
+    #: reuses bases across steps, so the counter stays 0 (kept for readers
+    #: of the statistics)
     num_basis_reuses: int = 0
 
     @property

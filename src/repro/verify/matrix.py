@@ -447,8 +447,7 @@ def _lu_accounting_invariants(
         for cached in (True, False):
             options = SimOptions(t_stop=t_stop, h_init=config["h_init"],
                                  h_max=config["h_max"], store_states=True,
-                                 cache_linearization=cached,
-                                 reuse_segment_slope=cached)
+                                 cache_linearization=cached)
             results[cached] = TransientSimulator(
                 mna, method=method, options=options).run()
         subject = f"{family}/{source}"
@@ -493,7 +492,6 @@ def _symbolic_reuse_invariants(
             options = SimOptions(t_stop=t_stop, h_init=config["h_init"],
                                  h_max=config["h_max"], store_states=True,
                                  cache_linearization=False,
-                                 reuse_segment_slope=False,
                                  reuse_symbolic=symbolic)
             results[symbolic] = TransientSimulator(
                 mna, method=method, options=options).run()

@@ -85,6 +85,38 @@ class TestBreakdown:
         with pytest.raises(ArnoldiBreakdown):
             process.extend()
 
+    @staticmethod
+    def invert_krylov_breakdown_dimension(c_scale, v0):
+        """Extend the invert-Krylov operator ``-G^{-1}C`` until breakdown.
+
+        ``C`` has a zero entry (an algebraic unknown) and time constants
+        ``1.00, 1.01, 1.03`` (times ``c_scale``) on the three dynamic
+        unknowns ``v0`` excites, so the space is invariant at dimension 3.
+        """
+        G = np.diag([2.0, 1.0, 3.0, 1.5, 1.0])
+        C = c_scale * np.diag([2.0, 1.01, 3.09, 0.0, 1.0])
+        A = -np.linalg.solve(G, C)
+        process = ArnoldiProcess(lambda v: A @ v, v0, max_dim=5)
+        with pytest.raises(ArnoldiBreakdown):
+            while True:
+                process.extend()
+        return process.m
+
+    @pytest.mark.parametrize("c_scale", [1e-12, 1.0])
+    def test_breakdown_dimension_is_scale_invariant(self, c_scale):
+        """Picosecond time constants give the operator a norm of ~1e-12;
+        the breakdown verdict must not change with those units (an
+        absolute floor declared a false breakdown at dimension 2)."""
+        v0 = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        assert self.invert_krylov_breakdown_dimension(c_scale, v0) == 3
+
+    @pytest.mark.parametrize("c_scale", [1e-12, 1.0])
+    def test_null_space_start_breaks_down_at_one(self, c_scale):
+        """A start vector in the null space of C (a purely algebraic
+        vector) is annihilated by the operator: breakdown at dimension 1."""
+        v0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+        assert self.invert_krylov_breakdown_dimension(c_scale, v0) == 1
+
 
 def reference_modified_gram_schmidt(apply_A, v0, steps):
     """Classic per-vector modified Gram-Schmidt Arnoldi (the pre-blocked

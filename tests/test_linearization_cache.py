@@ -34,9 +34,7 @@ def linear_circuit():
 def run(circuit, method, cached, **overrides):
     kwargs = dict(t_stop=1e-9, h_init=2e-12)
     kwargs.update(overrides)
-    options = SimOptions(
-        cache_linearization=cached, reuse_segment_slope=cached, **kwargs
-    )
+    options = SimOptions(cache_linearization=cached, **kwargs)
     return TransientSimulator(circuit, method=method, options=options).run()
 
 
@@ -65,13 +63,17 @@ class TestLinearExactness:
         assert r_off.stats.num_lu_factorizations >= r_off.stats.num_steps
         assert r_off.stats.lu.num_reused == 0
 
-    def test_er_segment_slope_basis_reused(self):
-        """One PWL ramp segment: the slope basis is built once, reused for
-        every further step, and counted in the MEVP statistics."""
-        r_on = run(linear_circuit(), "er", cached=True)
-        assert r_on.stats.mevp.num_basis_reuses == r_on.stats.num_steps - 1
-        r_off = run(linear_circuit(), "er", cached=False)
-        assert r_off.stats.mevp.num_basis_reuses == 0
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_er_one_step_mevp_per_step(self, cached):
+        """Linear ramp: the phi_1 and phi_2 step vectors share one basis,
+        so each step records exactly one MEVP (linear circuits skip the
+        error-estimator basis) and no basis is carried across steps."""
+        result = run(linear_circuit(), "er", cached=cached)
+        stats = result.stats
+        assert stats.completed and stats.num_steps > 1
+        assert stats.mevp.num_evaluations == stats.num_steps
+        assert all(len(rec.krylov_dimensions) == 1 for rec in result.steps)
+        assert stats.mevp.num_basis_reuses == 0
 
 
 class TestNonlinearExactness:

@@ -77,7 +77,6 @@ def sim_options(draw):
         max_factor_nnz=draw(st.one_of(st.none(),
                                       st.integers(min_value=1, max_value=10**9))),
         cache_linearization=draw(st.booleans()),
-        reuse_segment_slope=draw(st.booleans()),
         store_states=draw(st.booleans()),
         observe_nodes=draw(st.lists(st.text(min_size=1, max_size=8),
                                     max_size=4)),

@@ -81,11 +81,12 @@ class TestSimOptions:
             SimOptions.from_dict({"alpha": 1.5})
 
     def test_unknown_key_rejected(self):
-        # after the typo, the LU-reuse knobs that were removed: option
-        # files and job contexts that still carry them must fail loudly
+        # after the typo, the reuse knobs that were removed: option files
+        # and job contexts that still carry them must fail loudly
         for key in ("no_such_option", "bypass_tol", "h_bypass_tol",
                     "h_bypass_refine_tol", "h_bypass_max_refinements",
-                    "lu_cache_entries", "step_ladder_ratio"):
+                    "lu_cache_entries", "step_ladder_ratio",
+                    "reuse_segment_slope"):
             with pytest.raises(ValueError, match=key):
                 SimOptions.from_dict({key: 1})
 

@@ -121,8 +121,7 @@ class TestInvariantChecks:
         for cached in (True, False):
             options = SimOptions(t_stop=0.25e-9, h_init=2e-12, h_max=4e-12,
                                  store_states=True,
-                                 cache_linearization=cached,
-                                 reuse_segment_slope=cached)
+                                 cache_linearization=cached)
             results[cached] = TransientSimulator(mna, "er",
                                                  options=options).run()
         assert check_lu_accounting(results[True], results[False]) == []
